@@ -2,6 +2,7 @@ package autotuner_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,10 +206,10 @@ func TestTuneLintPruning(t *testing.T) {
 	// same way) are never benchmarked, appear last, and carry the
 	// findings that condemned them; every other shape still runs.
 	spec := graphSpec()
-	benched := 0
+	// Tune runs bench from several workers at once.
+	var benched atomic.Int64
 	bench := func(r *core.Relation, _ time.Time) (float64, error) {
-		benched++
-		return float64(benched), nil
+		return float64(benched.Add(1)), nil
 	}
 	results, err := autotuner.Tune(spec, autotuner.Options{
 		MaxEdges:       3,
@@ -249,7 +250,7 @@ func TestTuneLintPruning(t *testing.T) {
 	}
 
 	// Suppressing the only firing code must restore the full sweep.
-	benched = 0
+	benched.Store(0)
 	all, err := autotuner.Tune(spec, autotuner.Options{
 		MaxEdges:       3,
 		KeyArity:       1,
@@ -270,13 +271,13 @@ func TestTuneLintPruning(t *testing.T) {
 
 func TestTuneSurvivesPanickingCandidates(t *testing.T) {
 	spec := graphSpec()
-	calls := 0
+	var calls atomic.Int64 // Tune runs bench from several workers at once
 	bench := func(r *core.Relation, _ time.Time) (float64, error) {
-		calls++
-		if calls%2 == 0 {
+		n := calls.Add(1)
+		if n%2 == 0 {
 			panic("deliberate test panic")
 		}
-		return float64(calls), nil
+		return float64(n), nil
 	}
 	results, err := autotuner.Tune(spec, autotuner.Options{
 		MaxEdges: 2, KeyArity: 1,

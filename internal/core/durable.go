@@ -79,42 +79,54 @@ func NewDurableSharded(sr *ShardedRelation, logs []*wal.Log) (*DurableRelation, 
 // record is on the write-ahead log and the new version is published,
 // while the mutating cell's writer mutex is still held — so per cell the
 // sink sees deltas in exactly WAL order, and a delta it never sees was
-// never acknowledged. The sink must not call back into the relation's
-// mutation API (the cell mutex is held) and must be fast: it runs on the
-// writer's critical path. The replication plane (internal/repl) is the
-// intended consumer.
-type CommitSink func(c wal.Commit)
+// never acknowledged. Along with the delta it receives the index of the
+// cell that logged it and that cell's version just published, which
+// already includes the delta: the cell's whole state after its log
+// records up to and including c, immutable and safe to read at leisure.
+// The sink must not call back into the relation's mutation API (the
+// cell mutex is held) and must be fast: it runs on the writer's
+// critical path. The replication plane (internal/repl) is the intended
+// consumer.
+type CommitSink func(c wal.Commit, cell int, v *Relation)
 
 // SetCommitSink installs (or with nil, removes) the acknowledged-delta
-// tap and returns a tuple snapshot consistent with the installation
-// point: every delta acknowledged before SetCommitSink returned is
-// reflected in the returned tuples, and every delta acknowledged after
-// it reaches the sink exactly once — no gap, no overlap. The cut is
-// exact because installation holds every cell's writer mutex, so no
-// writer is between its log append and its sink call while the snapshot
-// is read.
-func (d *DurableRelation) SetCommitSink(sink CommitSink) ([]relation.Tuple, error) {
+// tap and returns each cell's published version at the installation
+// point, indexed by cell: every delta acknowledged before SetCommitSink
+// returned is in those versions, and every delta acknowledged after it
+// reaches the sink exactly once — no gap, no overlap. The cut is exact
+// because installation holds every cell's writer mutex, so no writer is
+// between its log append and its sink call while the versions are
+// pinned. On a closed relation it returns ErrClosed; no writer reaches
+// the installed sink there.
+func (d *DurableRelation) SetCommitSink(sink CommitSink) ([]*Relation, error) {
+	var vers []*Relation
 	if d.sync != nil {
 		s := d.sync
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
-		d.sink = sink
-		return d.All()
-	}
-	for i := range d.shr.shards {
-		sh := &d.shr.shards[i]
-		sh.wmu.Lock()
-		defer sh.wmu.Unlock()
+		vers = []*Relation{s.cur.Load()}
+	} else {
+		vers = make([]*Relation, len(d.shr.shards))
+		for i := range d.shr.shards {
+			sh := &d.shr.shards[i]
+			sh.wmu.Lock()
+			defer sh.wmu.Unlock()
+			vers[i] = sh.cur.Load()
+		}
 	}
 	d.sink = sink
-	return d.All()
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	return vers, nil
 }
 
-// ship hands one acknowledged delta to the sink, if any. Called with the
-// mutating cell's writer mutex held, after log append and publish.
-func (d *DurableRelation) ship(c wal.Commit) {
+// ship hands one acknowledged delta, with the cell's version that now
+// includes it, to the sink, if any. Called with the mutating cell's
+// writer mutex held, after log append and publish.
+func (d *DurableRelation) ship(c wal.Commit, cell int, cur *atomic.Pointer[Relation]) {
 	if d.sink != nil {
-		d.sink(c)
+		d.sink(c, cell, cur.Load())
 	}
 }
 
@@ -147,7 +159,7 @@ func (d *DurableRelation) Insert(t relation.Tuple) error {
 		s := d.sync
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
-		return d.insertCell(&s.cur, d.logs[0], t)
+		return d.insertCell(0, &s.cur, t)
 	}
 	sr := d.shr
 	i, err := sr.ro.mustRoute(t)
@@ -158,26 +170,26 @@ func (d *DurableRelation) Insert(t relation.Tuple) error {
 	sh := &sr.shards[i]
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	return d.insertCell(&sh.cur, d.logs[i], t)
+	return d.insertCell(i, &sh.cur, t)
 }
 
 // insertCell is the per-cell insert body; called with the cell's writer
 // mutex held, like every *Cell method below.
-func (d *DurableRelation) insertCell(cur *atomic.Pointer[Relation], log *wal.Log, t relation.Tuple) error {
+func (d *DurableRelation) insertCell(cell int, cur *atomic.Pointer[Relation], t relation.Tuple) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
 	next := cur.Load().beginVersion()
 	changed, err := next.insert(t)
 	if err == nil && changed {
-		if werr := log.Append(wal.Commit{Inserted: []relation.Tuple{t}}); werr != nil {
+		if werr := d.logs[cell].Append(wal.Commit{Inserted: []relation.Tuple{t}}); werr != nil {
 			publishCell(cur, next, false, werr)
 			return werr
 		}
 	}
 	publishCell(cur, next, changed, err)
 	if err == nil && changed {
-		d.ship(wal.Commit{Inserted: []relation.Tuple{t}})
+		d.ship(wal.Commit{Inserted: []relation.Tuple{t}}, cell, cur)
 	}
 	return err
 }
@@ -212,7 +224,7 @@ func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
 		s := d.sync
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
-		return d.removeCell(&s.cur, d.logs[0], pat)
+		return d.removeCell(0, &s.cur, pat)
 	}
 	sr := d.shr
 	if i, ok := sr.ro.route(pat); ok {
@@ -220,7 +232,7 @@ func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
 		sh := &sr.shards[i]
 		sh.wmu.Lock()
 		defer sh.wmu.Unlock()
-		return d.removeCell(&sh.cur, d.logs[i], pat)
+		return d.removeCell(i, &sh.cur, pat)
 	}
 	if d.closed.Load() {
 		return 0, ErrClosed
@@ -229,7 +241,7 @@ func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
 	err := sr.fanOut(func(i int, sh *relShard) error {
 		sh.wmu.Lock()
 		defer sh.wmu.Unlock()
-		n, err := d.removeCell(&sh.cur, d.logs[i], pat)
+		n, err := d.removeCell(i, &sh.cur, pat)
 		counts[i] = n
 		return err
 	})
@@ -240,14 +252,14 @@ func (d *DurableRelation) Remove(pat relation.Tuple) (int, error) {
 	return total, err
 }
 
-func (d *DurableRelation) removeCell(cur *atomic.Pointer[Relation], log *wal.Log, pat relation.Tuple) (int, error) {
+func (d *DurableRelation) removeCell(cell int, cur *atomic.Pointer[Relation], pat relation.Tuple) (int, error) {
 	if d.closed.Load() {
 		return 0, ErrClosed
 	}
 	next := cur.Load().beginVersion()
 	removed, err := next.remove(pat)
 	if err == nil && len(removed) > 0 {
-		if werr := log.Append(wal.Commit{Removed: removed}); werr != nil {
+		if werr := d.logs[cell].Append(wal.Commit{Removed: removed}); werr != nil {
 			publishCell(cur, next, false, werr)
 			return 0, werr
 		}
@@ -257,7 +269,7 @@ func (d *DurableRelation) removeCell(cur *atomic.Pointer[Relation], log *wal.Log
 		return 0, err
 	}
 	if len(removed) > 0 {
-		d.ship(wal.Commit{Removed: removed})
+		d.ship(wal.Commit{Removed: removed}, cell, cur)
 	}
 	return len(removed), nil
 }
@@ -273,7 +285,7 @@ func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
 		s := d.sync
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
-		return d.updateCell(&s.cur, d.logs[0], pat, u)
+		return d.updateCell(0, &s.cur, pat, u)
 	}
 	sr := d.shr
 	if i, ok := sr.ro.route(pat); ok {
@@ -281,7 +293,7 @@ func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
 		sh := &sr.shards[i]
 		sh.wmu.Lock()
 		defer sh.wmu.Unlock()
-		return d.updateCell(&sh.cur, d.logs[i], pat, u)
+		return d.updateCell(i, &sh.cur, pat, u)
 	}
 	if d.closed.Load() {
 		return 0, ErrClosed
@@ -290,7 +302,7 @@ func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
 	err := sr.fanOut(func(i int, sh *relShard) error {
 		sh.wmu.Lock()
 		defer sh.wmu.Unlock()
-		n, err := d.updateCell(&sh.cur, d.logs[i], pat, u)
+		n, err := d.updateCell(i, &sh.cur, pat, u)
 		counts[i] = n
 		return err
 	})
@@ -301,7 +313,7 @@ func (d *DurableRelation) Update(pat, u relation.Tuple) (int, error) {
 	return total, err
 }
 
-func (d *DurableRelation) updateCell(cur *atomic.Pointer[Relation], log *wal.Log, pat, u relation.Tuple) (int, error) {
+func (d *DurableRelation) updateCell(cell int, cur *atomic.Pointer[Relation], pat, u relation.Tuple) (int, error) {
 	if d.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -312,7 +324,7 @@ func (d *DurableRelation) updateCell(cur *atomic.Pointer[Relation], log *wal.Log
 	}
 	n, old, upd, err := next.updateDelta(pat, u)
 	if err == nil && n > 0 {
-		if werr := log.Append(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}); werr != nil {
+		if werr := d.logs[cell].Append(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}); werr != nil {
 			publishCell(cur, next, false, werr)
 			return 0, werr
 		}
@@ -322,7 +334,7 @@ func (d *DurableRelation) updateCell(cur *atomic.Pointer[Relation], log *wal.Log
 		return 0, err
 	}
 	if n > 0 {
-		d.ship(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}})
+		d.ship(wal.Commit{Removed: []relation.Tuple{old}, Inserted: []relation.Tuple{upd}}, cell, cur)
 	}
 	return n, nil
 }
@@ -341,7 +353,7 @@ func (d *DurableRelation) InsertBatch(ts []relation.Tuple) error {
 		s := d.sync
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
-		return d.insertBatchCell(&s.cur, d.logs[0], ts)
+		return d.insertBatchCell(0, &s.cur, ts)
 	}
 	sr := d.shr
 	groups := make([][]relation.Tuple, len(sr.shards))
@@ -361,11 +373,11 @@ func (d *DurableRelation) InsertBatch(ts []relation.Tuple) error {
 		}
 		sh.wmu.Lock()
 		defer sh.wmu.Unlock()
-		return d.insertBatchCell(&sh.cur, d.logs[i], groups[i])
+		return d.insertBatchCell(i, &sh.cur, groups[i])
 	})
 }
 
-func (d *DurableRelation) insertBatchCell(cur *atomic.Pointer[Relation], log *wal.Log, ts []relation.Tuple) error {
+func (d *DurableRelation) insertBatchCell(cell int, cur *atomic.Pointer[Relation], ts []relation.Tuple) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
@@ -382,14 +394,14 @@ func (d *DurableRelation) insertBatchCell(cur *atomic.Pointer[Relation], log *wa
 		}
 	}
 	if len(inserted) > 0 {
-		if werr := log.Append(wal.Commit{Inserted: inserted}); werr != nil {
+		if werr := d.logs[cell].Append(wal.Commit{Inserted: inserted}); werr != nil {
 			publishCell(cur, next, false, werr)
 			return werr
 		}
 	}
 	publishCell(cur, next, len(inserted) > 0, nil)
 	if len(inserted) > 0 {
-		d.ship(wal.Commit{Inserted: inserted})
+		d.ship(wal.Commit{Inserted: inserted}, cell, cur)
 	}
 	return nil
 }

@@ -85,6 +85,9 @@ type Follower struct {
 	lastErr error
 	closed  bool
 
+	wakeMu sync.Mutex
+	wake   chan struct{} // closed and replaced whenever applied advances
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -102,6 +105,7 @@ func NewFollower(spec *core.Spec, dial Dialer, opts FollowerOptions) (*Follower,
 		cols: specColumns(spec),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
+		wake: make(chan struct{}),
 	}
 	if f.opts.Backoff <= 0 {
 		f.opts.Backoff = 5 * time.Millisecond
@@ -296,8 +300,8 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 				}
 			}
 			f.engine.Store(pending)
-			f.applied.Store(pendingSeq)
 			f.bumpHead(pendingSeq)
+			f.advance(pendingSeq)
 			pending = nil
 			if f.met != nil {
 				f.met.ReplSnapshots.Add(1)
@@ -328,9 +332,9 @@ func (f *Follower) session(conn io.ReadWriteCloser) (err error) {
 			if err := f.applyCommit(f.engine.Load(), c); err != nil {
 				return err
 			}
-			f.applied.Store(c.Seq)
 			f.bumpHead(c.Seq)
 			f.bumpHead(head)
+			f.advance(c.Seq)
 			if f.met != nil {
 				f.met.ReplRecords.Add(1)
 				f.met.ReplLag.Store(f.headSeen.Load() - f.applied.Load())
@@ -356,8 +360,20 @@ func (f *Follower) applyCommit(e *followerEngine, c wal.Commit) error {
 	return core.ReplayShardedCommit(e.shr, c)
 }
 
+// advance makes seq the applied prefix and wakes every WaitFor blocked
+// on the old value. Only the session goroutine calls it.
+func (f *Follower) advance(seq uint64) {
+	f.applied.Store(seq)
+	f.wakeMu.Lock()
+	close(f.wake)
+	f.wake = make(chan struct{})
+	f.wakeMu.Unlock()
+}
+
 // bumpHead ratchets headSeen up to seq. headSeen only feeds the lag
 // gauge, so the monotonic maximum across sessions is the right value.
+// The session bumps it before it advances applied, so headSeen never
+// trails applied.
 func (f *Follower) bumpHead(seq uint64) {
 	for {
 		cur := f.headSeen.Load()
@@ -396,27 +412,44 @@ func (f *Follower) Applied() uint64 { return f.applied.Load() }
 // newest publisher head it has heard of. Zero means caught up as of the
 // last frame; during a partition the number is a lower bound, since the
 // publisher may be acknowledging records the follower cannot hear about.
-func (f *Follower) Lag() uint64 { return f.headSeen.Load() - f.applied.Load() }
+func (f *Follower) Lag() uint64 {
+	applied := f.applied.Load() // first: headSeen was already >= it
+	return f.headSeen.Load() - applied
+}
 
 // WaitFor blocks until the replica has applied at least seq, the timeout
-// expires, or the follower closes.
+// expires, or the follower closes. It sleeps on the apply notification,
+// so it returns as soon as the record that reaches seq is visible.
 func (f *Follower) WaitFor(seq uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for f.applied.Load() < seq {
+	if f.applied.Load() >= seq {
+		return nil
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the channel before reading applied: advance stores
+		// applied before it closes the channel, so a wake-up between
+		// the two reads is never lost.
+		f.wakeMu.Lock()
+		woken := f.wake
+		f.wakeMu.Unlock()
+		if f.applied.Load() >= seq {
+			return nil
+		}
 		select {
+		case <-woken:
 		case <-f.done:
 			if f.applied.Load() >= seq {
 				return nil
 			}
 			return ErrFollowerClosed
-		default:
+		case <-timer.C:
+			if applied := f.applied.Load(); applied < seq {
+				return fmt.Errorf("repl: timed out waiting for sequence %d (applied %d)", seq, applied)
+			}
+			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("repl: timed out waiting for sequence %d (applied %d)", seq, f.applied.Load())
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
-	return nil
 }
 
 // Query, QueryFunc, QueryRange, Len, All and CheckInvariants are the

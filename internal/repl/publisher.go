@@ -41,11 +41,12 @@ type PublisherOptions struct {
 // Publisher ships a durable relation's acknowledged commit log to any
 // number of subscribed followers. It taps the relation's commit stream
 // (core.SetCommitSink), assigns each acknowledged delta one dense
-// replication sequence number, and retains a bounded history plus a
-// logical mirror of the current state, so every subscription can be
-// answered either by streaming retained records from the follower's
-// resume point or by a snapshot of the mirror taken at an exact sequence
-// number. All methods are safe for concurrent use.
+// replication sequence number, and retains a bounded history plus the
+// engine's own published version of every cell as of the newest record,
+// so every subscription can be answered either by streaming retained
+// records from the follower's resume point or by a snapshot read from
+// those pinned versions at an exact sequence number. All methods are
+// safe for concurrent use.
 type Publisher struct {
 	d    *core.DurableRelation
 	name string
@@ -54,14 +55,13 @@ type Publisher struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	mirror  *relation.Relation // state after records[1..head]
-	head    uint64             // sequence of the newest acknowledged record
-	base    uint64             // records holds sequences base+1 .. head
+	vers    []*core.Relation // per-cell published versions: the state after records[1..head]
+	head    uint64           // sequence of the newest acknowledged record
+	base    uint64           // records holds sequences base+1 .. head
 	records []wal.Commit
 	retain  int
 	conns   map[io.Closer]struct{}
 	closed  bool
-	broken  error // mirror divergence: refuse new work loudly
 }
 
 // NewPublisher attaches a publisher to d. The returned publisher owns
@@ -80,7 +80,6 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 		name:   spec.Name,
 		cols:   specColumns(spec),
 		met:    opts.Metrics,
-		mirror: relation.Empty(spec.Cols()),
 		retain: opts.Retain,
 		conns:  make(map[io.Closer]struct{}),
 	}
@@ -88,16 +87,17 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 		p.retain = DefaultRetain
 	}
 	p.cond = sync.NewCond(&p.mu)
-	ts, err := d.SetCommitSink(p.onCommit)
+	// Hold p.mu across the install so the sink cannot record a delta
+	// before the attach versions are in place. No deadlock: a writer
+	// reaches onCommit only under a cell mutex that SetCommitSink has
+	// already released.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	vers, err := d.SetCommitSink(p.onCommit)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range ts {
-		if ierr := p.mirror.Insert(t); ierr != nil {
-			d.SetCommitSink(nil)
-			return nil, fmt.Errorf("repl: attach snapshot: %w", ierr)
-		}
-	}
+	p.vers = vers
 	// The attach state is sequence 1; base == head means no retained
 	// records, and resume == 1 is always <= base, forcing bootstrap.
 	p.head, p.base = 1, 1
@@ -106,42 +106,26 @@ func NewPublisher(d *core.DurableRelation, opts PublisherOptions) (*Publisher, e
 
 // onCommit is the core.CommitSink: it runs on the writer's critical path
 // with the mutating cell's writer mutex held, so per cell it observes
-// deltas in WAL order; the publisher mutex serializes cells into the one
-// replication stream.
-func (p *Publisher) onCommit(c wal.Commit) {
+// deltas and versions in WAL order; the publisher mutex serializes cells
+// into the one replication stream. Its cost is independent of the table
+// size and of Retain: it pins the cell's new version, appends the record,
+// and drops compacted records by reslicing.
+func (p *Publisher) onCommit(c wal.Commit, cell int, v *core.Relation) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.broken != nil {
+	if p.closed {
 		return
 	}
-	for _, t := range c.Removed {
-		if n := p.mirror.Remove(t); n != 1 {
-			p.breakLocked(fmt.Errorf("repl: acknowledged delta removed %d tuples for %v, want 1", n, t))
-			return
-		}
-	}
-	for _, t := range c.Inserted {
-		if err := p.mirror.Insert(t); err != nil {
-			p.breakLocked(fmt.Errorf("repl: acknowledged delta re-inserts %v: %w", t, err))
-			return
-		}
-	}
+	p.vers[cell] = v
 	p.head++
 	c.Seq = p.head
 	p.records = append(p.records, c)
 	if len(p.records) > p.retain {
 		drop := len(p.records) - p.retain
-		p.records = append(p.records[:0:0], p.records[drop:]...)
+		clear(p.records[:drop]) // let the dropped deltas' tuples be collected
+		p.records = p.records[drop:]
 		p.base += uint64(drop)
 	}
-	p.cond.Broadcast()
-}
-
-// breakLocked wedges the publisher: an acknowledged delta disagreed with
-// the mirror, which means the stream can no longer be trusted. Sessions
-// end with the error; the relation itself is untouched.
-func (p *Publisher) breakLocked(err error) {
-	p.broken = err
 	p.cond.Broadcast()
 }
 
@@ -242,13 +226,8 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 
 	// Decide snapshot versus tail under the lock, so the cut is exact.
 	p.mu.Lock()
-	if p.broken != nil {
-		msg := p.broken.Error()
-		p.mu.Unlock()
-		return refuse(msg)
-	}
 	next := h.resume
-	var snapTuples []relation.Tuple
+	var snapVers []*core.Relation
 	var snapSeq uint64
 	sendSnap := false
 	switch {
@@ -261,8 +240,9 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		return refuse(fmt.Sprintf("resume %d is ahead of acknowledged head %d: follower belongs to another publisher incarnation", h.resume, head))
 	case h.resume <= p.base:
 		// Resume point compacted away (or fresh follower): bootstrap
-		// from the mirror at exactly head.
-		snapTuples = p.mirror.All()
+		// from the cell versions that hold exactly head. They are
+		// immutable, so the tuples are read after the lock is released.
+		snapVers = append([]*core.Relation(nil), p.vers...)
 		snapSeq = p.head
 		next = p.head + 1
 		sendSnap = true
@@ -272,7 +252,7 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	go watch()
 	enc := wal.NewStreamEncoder()
 	if sendSnap {
-		if err := p.sendSnapshot(f, enc, snapSeq, snapTuples); err != nil {
+		if err := p.sendSnapshot(f, enc, snapSeq, snapVers); err != nil {
 			return err
 		}
 	}
@@ -282,7 +262,7 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	var scratch []byte
 	for {
 		p.mu.Lock()
-		for !p.closed && !dead && p.broken == nil && next > p.head {
+		for !p.closed && !dead && next > p.head {
 			p.cond.Wait()
 		}
 		switch {
@@ -292,10 +272,6 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 		case dead:
 			p.mu.Unlock()
 			return fmt.Errorf("repl: follower hung up")
-		case p.broken != nil:
-			msg := p.broken.Error()
-			p.mu.Unlock()
-			return refuse(msg)
 		case next <= p.base:
 			// Compaction overtook this session — the follower reads too
 			// slowly for the retained window. End the session; on
@@ -322,7 +298,17 @@ func (p *Publisher) Handle(rw io.ReadWriteCloser) (err error) {
 	}
 }
 
-func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, ts []relation.Tuple) error {
+// sendSnapshot streams the union of the pinned cell versions as the
+// state at seq.
+func (p *Publisher) sendSnapshot(f *framer, enc *wal.StreamEncoder, seq uint64, vers []*core.Relation) error {
+	var ts []relation.Tuple
+	for _, v := range vers {
+		vts, err := v.All()
+		if err != nil {
+			return err
+		}
+		ts = append(ts, vts...)
+	}
 	if err := f.writeFrame(appendSnapBegin(nil, seq, uint64(len(ts)))); err != nil {
 		return err
 	}

@@ -6,12 +6,16 @@ package repro
 //	make bench-repl        # writes BENCH_repl.json
 //	benchstat BENCH_repl.json
 //
-// BenchmarkReplShip streams distinct-flow inserts from a durable primary
-// through a connected follower over the in-process pipe transport and
-// counts an op only once the follower has applied it — the ns/op is the
-// full path: engine mutation, WAL append, wire framing, decode, and the
-// replica's copy-on-write publish. records/s and wireB/op come from the
-// publisher's repl.* counters.
+// BenchmarkReplShip streams commits from a durable primary through a
+// connected follower over the in-process pipe transport and counts an op
+// only once the follower has applied it — the ns/op is the full path:
+// engine mutation, WAL append, wire framing, decode, and the replica's
+// copy-on-write publish. records/s counts the records the follower
+// applied, and wireB/op the bytes it received. Three legs: distinct-flow inserts into an
+// empty table, updates of a 10k-flow table, and removes from a table
+// that never drops below 10k flows (it starts at 10k + b.N). The update
+// and remove legs are the ones a per-commit cost that grows with the
+// table would show in.
 //
 // BenchmarkReplCatchUp prepares a primary that wrote N records while the
 // link was down and times the reconnected follower's tail replay to the
@@ -70,13 +74,60 @@ func newReplBenchPair(b *testing.B, d *core.DurableRelation, pm, fm *obs.Metrics
 }
 
 func BenchmarkReplShip(b *testing.B) {
+	const flows = 10_000
+	b.Run("insert", func(b *testing.B) {
+		benchReplShip(b, 0, func(d *core.DurableRelation, i int) error {
+			return d.Insert(walBenchTuple(i))
+		})
+	})
+	b.Run(fmt.Sprintf("update-flows=%d", flows), func(b *testing.B) {
+		benchReplShip(b, flows, func(d *core.DurableRelation, i int) error {
+			_, err := d.Update(walBenchKey(i%flows), relation.NewTuple(relation.BindInt("bytes", int64(i))))
+			return err
+		})
+	})
+	b.Run(fmt.Sprintf("remove-flows=%d", flows), func(b *testing.B) {
+		benchReplShip(b, flows+b.N, func(d *core.DurableRelation, i int) error {
+			n, err := d.Remove(walBenchKey(i))
+			if err == nil && n != 1 {
+				err = fmt.Errorf("removed %d flows for key %d, want 1", n, i)
+			}
+			return err
+		})
+	})
+}
+
+// walBenchKey is the (local, foreign) key of walBenchTuple(i).
+func walBenchKey(i int) relation.Tuple {
+	return relation.NewTuple(
+		relation.BindInt("local", int64(i%1024)),
+		relation.BindInt("foreign", int64(i)),
+	)
+}
+
+// benchReplShip preloads flows 0..preload-1 untimed, connects a
+// follower, and times b.N commits made by op through to the follower.
+func benchReplShip(b *testing.B, preload int, op func(d *core.DurableRelation, i int) error) {
 	d := openReplBenchPrimary(b)
 	defer d.Close()
-	pm := &obs.Metrics{}
-	pub, fol := newReplBenchPair(b, d, pm, nil)
+	if preload > 0 {
+		ts := make([]relation.Tuple, preload)
+		for i := range ts {
+			ts[i] = walBenchTuple(i)
+		}
+		if err := d.InsertBatch(ts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Count on the follower side: its bytes are counted as frames
+	// arrive, before the apply WaitFor waits on, so the last record is
+	// never missing from the figures.
+	fm := &obs.Metrics{}
+	pub, fol := newReplBenchPair(b, d, nil, fm)
+	head0, before := pub.Head(), fm.Snapshot() // leave the bootstrap out
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Insert(walBenchTuple(i)); err != nil {
+		if err := op(d, i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,9 +135,8 @@ func BenchmarkReplShip(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	snap := pm.Snapshot()
-	b.ReportMetric(float64(snap.ReplRecords)/b.Elapsed().Seconds(), "records/s")
-	b.ReportMetric(float64(snap.ReplBytes)/float64(b.N), "wireB/op")
+	b.ReportMetric(float64(pub.Head()-head0)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(fm.Snapshot().Sub(before).ReplBytes)/float64(b.N), "wireB/op")
 }
 
 // benchGate is a dialer wrapper that keeps the follower dark while the
